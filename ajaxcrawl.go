@@ -301,13 +301,13 @@ func NewEngineFromGraphs(f Fetcher, graphs []*model.Graph, pageRank map[string]f
 
 // Search evaluates a conjunctive keyword query across all shards and
 // returns ranked (URL, state) results.
-func (e *Engine) Search(q string) []Result { return e.broker.Search(q) }
+func (e *Engine) Search(q string) []Result { return e.broker.SearchTopK(q, 0) }
 
 // SearchCtx is Search under a context: when the context carries
 // telemetry (obs.With), the evaluation is traced as a query.exec span
 // and its latency lands in the metrics registry.
 func (e *Engine) SearchCtx(ctx context.Context, q string) []Result {
-	return e.broker.SearchCtx(ctx, q)
+	return e.broker.SearchTopKCtx(ctx, q, 0)
 }
 
 // SearchTopK returns at most k results, evaluated with the bounded-heap
@@ -474,7 +474,7 @@ type ResultWithSnippet = query.ResultWithSnippet
 // SearchWithSnippets returns at most k results, each with a KWIC-style
 // snippet of the matching application state (query terms bracketed).
 func (e *Engine) SearchWithSnippets(q string, k int) []ResultWithSnippet {
-	results := query.TopK(e.broker.Search(q), k)
+	results := e.broker.SearchTopK(q, k)
 	return query.AttachSnippets(results, func(url string, state int) string {
 		g := e.graphs[url]
 		if g == nil {

@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"os"
 	"strings"
 	"time"
 
@@ -21,7 +20,6 @@ func init() {
 	register("ablate-hotnode", "hot-call cache keyed by (fn,args) vs by URL vs off", ablateHotNode)
 	register("ablate-dedup", "duplicate detection: canonical hash vs full-tree compare", ablateDedup)
 	register("ablate-idf", "sharded ranking: global idf correction vs local idf", ablateIDF)
-	register("ablate-compress", "index serialization: gob vs delta+varint", ablateCompress)
 	register("ablate-recrawl", "repetitive crawling: profile-guided second session", ablateRecrawl)
 	register("ablate-neardup", "near-duplicate state merging vs granular-event explosion", ablateNearDup)
 }
@@ -223,7 +221,9 @@ func ablateDedup(e *env) error {
 
 // ablateIDF quantifies what the global idf correction (§6.5.2) buys:
 // fraction of queries whose top result under local-idf sharded ranking
-// differs from the single-index ground truth.
+// differs from the single-index ground truth. Local idf ranks each shard
+// on its own — a one-part Merge over that shard's statistics — and takes
+// the best of the shards' top results.
 func ablateIDF(e *env) error {
 	graphs, err := queryCorpus(e)
 	if err != nil {
@@ -234,27 +234,42 @@ func ablateIDF(e *env) error {
 	if cut == 0 {
 		cut = 1
 	}
-	shardA := index.Build(graphs[:cut], nil, 0)
-	shardB := index.Build(graphs[cut:], nil, 0)
-	single := query.NewEngine(index.Build(graphs, nil, 0))
-	global := &query.Broker{Shards: []*index.Index{shardA, shardB}, W: query.DefaultWeights}
-	local := &query.Broker{Shards: []*index.Index{shardA, shardB}, W: query.DefaultWeights, LocalIDF: true}
+	shards := []*index.Index{index.Build(graphs[:cut], nil, 0), index.Build(graphs[cut:], nil, 0)}
+	single := query.NewBroker([]*index.Index{index.Build(graphs, nil, 0)})
+	global := query.NewBroker(shards)
+	var servers []*query.Server
+	for _, ix := range shards {
+		snap := &query.ServeSnapshot{Broker: query.NewBroker([]*index.Index{ix})}
+		servers = append(servers, query.NewServer(snap, query.CacheOptions{}))
+	}
+	localTop := func(q string) (top query.Result, ok bool) {
+		for _, srv := range servers {
+			part := srv.ShardSearch(e.ctx, q)
+			rs, _ := query.Merge(part.Terms, query.DefaultWeights, []*query.ShardResult{part}, 1)
+			if len(rs) == 0 {
+				continue
+			}
+			r := rs[0].Result
+			if !ok || r.Score > top.Score ||
+				(r.Score == top.Score && (r.URL < top.URL || (r.URL == top.URL && r.State < top.State))) {
+				top, ok = r, true
+			}
+		}
+		return top, ok
+	}
 
 	queries := webapp.Queries()
 	globalDiff, localDiff, evaluated := 0, 0, 0
 	for _, q := range queries {
-		want := single.Search(q)
+		want := single.SearchTopK(q, 1)
 		if len(want) == 0 {
 			continue
 		}
 		evaluated++
-		sameTop := func(rs []query.Result) bool {
-			return len(rs) > 0 && rs[0].URL == want[0].URL && rs[0].State == want[0].State
-		}
-		if !sameTop(global.Search(q)) {
+		if got := global.SearchTopK(q, 1); len(got) == 0 || got[0].URL != want[0].URL || got[0].State != want[0].State {
 			globalDiff++
 		}
-		if !sameTop(local.Search(q)) {
+		if got, ok := localTop(q); !ok || got.URL != want[0].URL || got.State != want[0].State {
 			localDiff++
 		}
 	}
@@ -262,62 +277,6 @@ func ablateIDF(e *env) error {
 	fmt.Fprintf(e.out, "top-1 divergence vs single index: global idf %d, local idf %d\n", globalDiff, localDiff)
 	fmt.Fprintln(e.out, "(global-idf correction should show zero divergence)")
 	return nil
-}
-
-// ablateCompress compares the gob and the delta/varint-compressed index
-// serializations: file size and load time, on a corpus crawled at the
-// configured scale.
-func ablateCompress(e *env) error {
-	graphs, err := queryCorpus(e)
-	if err != nil {
-		return err
-	}
-	ix := index.Build(graphs, nil, 0)
-	dir, err := mkTempDir()
-	if err != nil {
-		return err
-	}
-	defer rmTempDir(dir)
-	gobPath := dir + "/idx.gob"
-	binPath := dir + "/idx.bin"
-	if err := ix.Save(gobPath); err != nil {
-		return err
-	}
-	if err := ix.SaveCompressed(binPath); err != nil {
-		return err
-	}
-	gobSize := fileSize(gobPath)
-	binSize := fileSize(binPath)
-
-	const rounds = 10
-	start := time.Now()
-	for i := 0; i < rounds; i++ {
-		if _, err := index.Load(gobPath); err != nil {
-			return err
-		}
-	}
-	gobLoad := time.Since(start) / rounds
-	start = time.Now()
-	for i := 0; i < rounds; i++ {
-		if _, err := index.LoadCompressed(binPath); err != nil {
-			return err
-		}
-	}
-	binLoad := time.Since(start) / rounds
-
-	fmt.Fprintf(e.out, "%-24s %-14s %-14s\n", "format", "size (KiB)", "load time")
-	fmt.Fprintf(e.out, "%-24s %-14.1f %-14v\n", "gob", float64(gobSize)/1024, gobLoad)
-	fmt.Fprintf(e.out, "%-24s %-14.1f %-14v\n", "delta+varint", float64(binSize)/1024, binLoad)
-	fmt.Fprintf(e.out, "size ratio: %.2fx smaller\n", float64(gobSize)/float64(binSize))
-	return nil
-}
-
-func fileSize(path string) int64 {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return 0
-	}
-	return fi.Size()
 }
 
 // ablateRecrawl measures the repetitive-crawling extension (thesis ch. 10

@@ -42,7 +42,7 @@ func expRouter(e *env) error {
 	want := make([][]query.Result, len(queries))
 	totalResults := 0
 	for i, q := range queries {
-		want[i] = single.Search(q)
+		want[i] = single.SearchTopK(q, 0)
 		totalResults += len(want[i])
 	}
 
@@ -79,7 +79,7 @@ func expRouter(e *env) error {
 		return best
 	}
 
-	baseT := timeWorkload(func(q string) { single.Search(q) })
+	baseT := timeWorkload(func(q string) { single.SearchTopK(q, 0) })
 	fmt.Fprintf(e.out, "%-14s %-10s %-16s %-10s %-12s %-8s\n",
 		"fleet", "results", "time/100q (ms)", "vs single", "mismatches", "hedges")
 	fmt.Fprintf(e.out, "%-14s %-10d %-16.2f %-10s %-12s %-8s\n",

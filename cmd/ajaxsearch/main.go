@@ -6,13 +6,13 @@
 // Examples:
 //
 //	# Build an index from a crawl directory and save it.
-//	ajaxsearch -models ./crawl-out -save ./idx.gob
+//	ajaxsearch -models ./crawl-out -save ./idx.bin
 //
 //	# Build with a state limit (the GUI's "Max. State ID" knob).
-//	ajaxsearch -models ./crawl-out -max-states 1 -save ./trad.gob
+//	ajaxsearch -models ./crawl-out -max-states 1 -save ./trad.bin
 //
 //	# Query a stored index.
-//	ajaxsearch -load ./idx.gob -q "morcheeba singer" -k 10
+//	ajaxsearch -load ./idx.bin -q "morcheeba singer" -k 10
 //
 //	# Build and query in one go.
 //	ajaxsearch -models ./crawl-out -q "funny dance"
@@ -26,7 +26,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
-	"strings"
 
 	"ajaxcrawl/internal/core"
 	"ajaxcrawl/internal/index"
@@ -65,12 +64,7 @@ func main() {
 	switch {
 	case *load != "":
 		var err error
-		if strings.HasSuffix(*load, ".bin") {
-			ix, err = index.LoadCompressed(*load)
-		} else {
-			ix, err = index.Load(*load)
-		}
-		if err != nil {
+		if ix, err = index.LoadCompressed(*load); err != nil {
 			fatal("load index: %v", err)
 		}
 		fmt.Printf("loaded index: %d docs, %d states, %d terms\n",
@@ -84,14 +78,7 @@ func main() {
 	}
 
 	if *save != "" {
-		// A .bin extension selects the delta/varint-compressed format.
-		var err error
-		if strings.HasSuffix(*save, ".bin") {
-			err = ix.SaveCompressed(*save)
-		} else {
-			err = ix.Save(*save)
-		}
-		if err != nil {
+		if err := ix.SaveCompressed(*save); err != nil {
 			fatal("save index: %v", err)
 		}
 		fmt.Printf("index saved to %s\n", *save)
@@ -100,8 +87,7 @@ func main() {
 		printStats(ix)
 	}
 	if *q != "" {
-		eng := query.NewEngine(ix)
-		results := eng.SearchTopKCtx(ctx, *q, *k)
+		results := query.NewBroker([]*index.Index{ix}).SearchTopKCtx(ctx, *q, *k)
 		if len(results) == 0 {
 			fmt.Printf("no results for %q\n", *q)
 		} else {

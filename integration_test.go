@@ -85,17 +85,9 @@ func TestPipelinePersistenceRoundTrip(t *testing.T) {
 	// Index from reloaded models with reloaded PageRank.
 	ix := index.Build(reloadedGraphs, reloadedPre.PageRank, 0)
 
-	// Persist the index both ways and reload.
-	gobPath := filepath.Join(workDir, "idx.gob")
+	// Persist the index and reload.
 	binPath := filepath.Join(workDir, "idx.bin")
-	if err := ix.Save(gobPath); err != nil {
-		t.Fatal(err)
-	}
 	if err := ix.SaveCompressed(binPath); err != nil {
-		t.Fatal(err)
-	}
-	fromGob, err := index.Load(gobPath)
-	if err != nil {
 		t.Fatal(err)
 	}
 	fromBin, err := index.LoadCompressed(binPath)
@@ -103,17 +95,16 @@ func TestPipelinePersistenceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// All four index instances must answer the workload identically.
-	engines := map[string]*query.Engine{
-		"live":       query.NewEngine(index.Build(liveGraphs, reloadedPre.PageRank, 0)),
-		"reloaded":   query.NewEngine(ix),
-		"gob":        query.NewEngine(fromGob),
-		"compressed": query.NewEngine(fromBin),
+	// All three index instances must answer the workload identically.
+	engines := map[string]*query.Broker{
+		"live":       query.NewBroker([]*index.Index{index.Build(liveGraphs, reloadedPre.PageRank, 0)}),
+		"reloaded":   query.NewBroker([]*index.Index{ix}),
+		"compressed": query.NewBroker([]*index.Index{fromBin}),
 	}
 	for _, q := range webapp.Queries()[:20] {
-		want := engines["live"].Search(q)
+		want := engines["live"].SearchTopK(q, 0)
 		for name, eng := range engines {
-			got := eng.Search(q)
+			got := eng.SearchTopK(q, 0)
 			if len(got) != len(want) {
 				t.Fatalf("q=%q: %s returned %d results, live %d", q, name, len(got), len(want))
 			}

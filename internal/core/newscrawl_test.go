@@ -120,12 +120,12 @@ func TestNewsSearchFindsExpandedContent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := query.NewEngine(index.Build(graphs, nil, 0))
-	trad := query.NewEngine(index.Build(graphs, nil, 1))
+	full := query.NewBroker([]*index.Index{index.Build(graphs, nil, 0)})
+	trad := query.NewBroker([]*index.Index{index.Build(graphs, nil, 1)})
 
 	gain := false
 	for _, q := range webapp.Queries()[:20] {
-		tn, an := len(trad.Search(q)), len(full.Search(q))
+		tn, an := len(trad.SearchTopK(q, 0)), len(full.SearchTopK(q, 0))
 		if an > tn {
 			gain = true
 		}

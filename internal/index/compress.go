@@ -12,15 +12,14 @@ import (
 	"ajaxcrawl/internal/model"
 )
 
-// Compressed on-disk index format. The gob encoding (Save/Load) is
-// convenient but verbose; this format applies the standard IR
-// compression tricks — delta-encoded, varint-coded posting lists — that
-// the related-work chapter points at (web-graph/index compression):
+// On-disk index format. It applies the standard IR compression tricks —
+// delta-encoded, varint-coded posting lists — that the related-work
+// chapter points at (web-graph/index compression):
 //
 //	magic "AJIX" | version u8
 //	docCount varint
 //	  per doc: url (len-prefixed), pagerank f64,
-//	           states varint, stateLens varints, ajaxRanks f32s
+//	           states varint, stateLens varints, ajaxRanks f64s
 //	totalStates varint
 //	termCount varint
 //	  per term (sorted): term (len-prefixed), postingCount varint,
@@ -28,11 +27,14 @@ import (
 //	                 posCount varint, positions as deltas varint
 //
 // Doc IDs within one term's posting list are ascending, so consecutive
-// deltas are small; positions within one posting likewise.
+// deltas are small; positions within one posting likewise. Every float
+// is stored as its exact float64 bits, so a decoded index ranks
+// bit-for-bit like the one that was saved. Version 1 stored AJAXRanks
+// as float32 and is not read.
 
 const (
 	compressedMagic   = "AJIX"
-	compressedVersion = 1
+	compressedVersion = 2
 
 	// maxCount bounds every count read from an untrusted file (docs,
 	// states, terms, postings, positions). A truncated or corrupt varint
@@ -100,7 +102,7 @@ func (ix *Index) writeCompressed(w *bufio.Writer) error {
 			putUvarint(w, uint64(l))
 		}
 		for _, r := range d.AJAXRanks {
-			putFloat32(w, float32(r))
+			putFloat64(w, r)
 		}
 	}
 	putUvarint(w, uint64(ix.TotalStates))
@@ -131,9 +133,11 @@ func (ix *Index) writeCompressed(w *bufio.Writer) error {
 	return nil
 }
 
-// DecodeCompressed reads one compact-binary index from r. Like Decode,
-// the input is untrusted: counts are bounded, pre-allocations capped,
-// the result validated, and decoder panics converted to errors.
+// DecodeCompressed reads one compact-binary index from r. The bytes are
+// untrusted — the serving daemon loads snapshots straight off disk — so
+// counts are bounded, pre-allocations capped, the decoded structure
+// validated before it is handed out, and decoder panics converted to
+// errors.
 func DecodeCompressed(r io.Reader) (ix *Index, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -177,7 +181,7 @@ func readCompressed(r *bufio.Reader) (*Index, error) {
 		return nil, err
 	}
 	if version != compressedVersion {
-		return nil, fmt.Errorf("unsupported version %d", version)
+		return nil, fmt.Errorf("unsupported format version %d (this build reads %d); re-publish the index", version, compressedVersion)
 	}
 
 	ix := New()
@@ -216,11 +220,11 @@ func readCompressed(r *bufio.Reader) (*Index, error) {
 		}
 		d.AJAXRanks = make([]float64, 0, prealloc(states))
 		for j := 0; j < states; j++ {
-			v, err := getFloat32(r)
+			v, err := getFloat64(r)
 			if err != nil {
 				return nil, err
 			}
-			d.AJAXRanks = append(d.AJAXRanks, float64(v))
+			d.AJAXRanks = append(d.AJAXRanks, v)
 		}
 		ix.docByURL[d.URL] = DocID(len(ix.Docs))
 		ix.Docs = append(ix.Docs, d)
@@ -343,18 +347,4 @@ func getFloat64(r *bufio.Reader) (float64, error) {
 		return 0, err
 	}
 	return math.Float64frombits(binary.LittleEndian.Uint64(buf[:])), nil
-}
-
-func putFloat32(w *bufio.Writer, f float32) {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], math.Float32bits(f))
-	w.Write(buf[:]) //nolint:errcheck
-}
-
-func getFloat32(r *bufio.Reader) (float32, error) {
-	var buf [4]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, err
-	}
-	return math.Float32frombits(binary.LittleEndian.Uint32(buf[:])), nil
 }

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -40,62 +41,14 @@ func TestCompressedRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(a.StateLens, b.StateLens) {
 			t.Fatalf("doc %d state lens differ", i)
 		}
-		// AJAXRanks survive through float32; tolerance applies.
-		for j := range a.AJAXRanks {
-			if diff := a.AJAXRanks[j] - b.AJAXRanks[j]; diff > 1e-6 || diff < -1e-6 {
-				t.Fatalf("doc %d ajaxrank %d drifted: %v vs %v", i, j, a.AJAXRanks[j], b.AJAXRanks[j])
-			}
+		if !reflect.DeepEqual(a.AJAXRanks, b.AJAXRanks) {
+			t.Fatalf("doc %d ajaxranks differ: %v vs %v", i, a.AJAXRanks, b.AJAXRanks)
 		}
 	}
 	// docByURL rebuilt.
 	if d, ok := loaded.DocByURL("www.youtube.com/watch?v=w16JlLSySWQ"); !ok || d != 0 {
 		t.Fatalf("docByURL not rebuilt")
 	}
-}
-
-func TestCompressedSmallerThanGob(t *testing.T) {
-	// A corpus with realistic posting lists.
-	var graphs []*model.Graph
-	words := []string{"the", "video", "comment", "music", "love", "wow", "great", "awesome"}
-	h := byte(0)
-	for d := 0; d < 20; d++ {
-		g := model.NewGraph("/watch?v=" + string(rune('a'+d)))
-		for s := 0; s < 5; s++ {
-			text := ""
-			for w := 0; w < 50; w++ {
-				text += words[(d+s+w)%len(words)] + " "
-			}
-			h++
-			g.AddState(hashOf(h), text, s)
-		}
-		graphs = append(graphs, g)
-	}
-	ix := Build(graphs, nil, 0)
-	dir := t.TempDir()
-	gobPath := filepath.Join(dir, "idx.gob")
-	binPath := filepath.Join(dir, "idx.bin")
-	if err := ix.Save(gobPath); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.SaveCompressed(binPath); err != nil {
-		t.Fatal(err)
-	}
-	gobSize := fileSize(t, gobPath)
-	binSize := fileSize(t, binPath)
-	if binSize >= gobSize {
-		t.Fatalf("compressed (%d bytes) not smaller than gob (%d bytes)", binSize, gobSize)
-	}
-	t.Logf("gob %d bytes, compressed %d bytes (%.1fx smaller)",
-		gobSize, binSize, float64(gobSize)/float64(binSize))
-}
-
-func fileSize(t *testing.T, path string) int64 {
-	t.Helper()
-	fi, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fi.Size()
 }
 
 func TestCompressedRejectsGarbage(t *testing.T) {
@@ -126,6 +79,15 @@ func TestCompressedRejectsGarbage(t *testing.T) {
 	}
 	if _, err := LoadCompressed(filepath.Join(dir, "missing.bin")); err == nil {
 		t.Fatalf("missing file should fail to load")
+	}
+	// A version-1 file (float32 AJAXRanks) is refused, not misread.
+	v1 := filepath.Join(dir, "v1.bin")
+	data[len(compressedMagic)] = 1
+	if err := os.WriteFile(v1, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadCompressed(v1); err == nil || !strings.Contains(err.Error(), "re-publish") {
+		t.Fatalf("version-1 file: err = %v, want a re-publish error", err)
 	}
 }
 

@@ -6,17 +6,15 @@
 // per-URL PageRank for the composite ranking formula 5.3.
 //
 // Indexes are built incrementally, one application model at a time
-// (AddGraph), and serialize to disk with encoding/gob — one index shard
-// per crawl partition in the parallel architecture (ch. 6).
+// (AddGraph), and serialize to disk in a delta+varint format (compress.go)
+// — one index shard per crawl partition in the parallel architecture
+// (ch. 6).
 package index
 
 import (
 	"context"
-	"encoding/gob"
 	"fmt"
-	"io"
 	"math"
-	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -206,77 +204,6 @@ func BuildCtx(ctx context.Context, graphs []*model.Graph, pageRank map[string]fl
 	sp.SetAttr("postings", strconv.Itoa(postings))
 	sp.End(nil)
 	return ix
-}
-
-// indexWire is the gob image of an Index.
-type indexWire struct {
-	Docs        []DocInfo
-	Terms       map[string][]Posting
-	TotalStates int
-}
-
-// Encode writes the index's gob image to w.
-func (ix *Index) Encode(w io.Writer) error {
-	img := indexWire{Docs: ix.Docs, Terms: ix.Terms, TotalStates: ix.TotalStates}
-	if err := gob.NewEncoder(w).Encode(img); err != nil {
-		return fmt.Errorf("index: encode: %w", err)
-	}
-	return nil
-}
-
-// Save writes the index to a file.
-func (ix *Index) Save(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("index: save: %w", err)
-	}
-	if err := ix.Encode(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// Decode reads one gob-encoded index from r. The bytes are untrusted —
-// the serving daemon loads snapshots straight off disk — so the decoded
-// structure is validated before it is handed out, and any panic the
-// decoder raises on corrupt input is converted to an error.
-func Decode(r io.Reader) (ix *Index, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			ix, err = nil, fmt.Errorf("index: decode: corrupt input: %v", rec)
-		}
-	}()
-	var w indexWire
-	if err := gob.NewDecoder(r).Decode(&w); err != nil {
-		return nil, fmt.Errorf("index: decode: %w", err)
-	}
-	ix = &Index{
-		Docs:        w.Docs,
-		Terms:       w.Terms,
-		TotalStates: w.TotalStates,
-		docByURL:    make(map[string]DocID, len(w.Docs)),
-	}
-	if ix.Terms == nil {
-		ix.Terms = make(map[string][]Posting)
-	}
-	for i, d := range w.Docs {
-		ix.docByURL[d.URL] = DocID(i)
-	}
-	if err := ix.validate(); err != nil {
-		return nil, err
-	}
-	return ix, nil
-}
-
-// Load reads an index from a file.
-func Load(path string) (*Index, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("index: load: %w", err)
-	}
-	defer f.Close()
-	return Decode(f)
 }
 
 // validate checks the structural invariants query evaluation relies on,

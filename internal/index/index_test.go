@@ -2,7 +2,6 @@ package index
 
 import (
 	"math"
-	"path/filepath"
 	"reflect"
 	"sort"
 	"testing"
@@ -147,30 +146,6 @@ func TestStateLens(t *testing.T) {
 	d := ix.Doc(0)
 	if d.StateLens[0] != 4 || d.StateLens[1] != 5 {
 		t.Fatalf("state lens = %v", d.StateLens)
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	ix := Build(twoVideoGraphs(), map[string]float64{"www.youtube.com/watch?v=w16JlLSySWQ": 0.9}, 0)
-	path := filepath.Join(t.TempDir(), "idx.gob")
-	if err := ix.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.TotalStates != ix.TotalStates || loaded.NumDocs() != ix.NumDocs() || loaded.NumTerms() != ix.NumTerms() {
-		t.Fatalf("round trip lost data")
-	}
-	if !reflect.DeepEqual(loaded.Lookup("morcheeba"), ix.Lookup("morcheeba")) {
-		t.Fatalf("postings differ after reload")
-	}
-	if d, ok := loaded.DocByURL("www.youtube.com/watch?v=w16JlLSySWQ"); !ok || d != 0 {
-		t.Fatalf("docByURL not rebuilt")
-	}
-	if _, err := Load(filepath.Join(t.TempDir(), "missing.gob")); err == nil {
-		t.Fatalf("loading missing index should fail")
 	}
 }
 

@@ -29,9 +29,8 @@ const (
 	// ManifestVersion is the current manifest format version.
 	ManifestVersion = 1
 
-	// FormatGob marks shards saved with Index.Save (encoding/gob).
-	FormatGob = "gob"
-	// FormatCompressed marks shards saved with Index.SaveCompressed.
+	// FormatCompressed marks shards saved with Index.SaveCompressed,
+	// the only shard format.
 	FormatCompressed = "bin"
 )
 
@@ -60,7 +59,7 @@ type Manifest struct {
 	ID string `json:"id"`
 	// CreatedAt is when the snapshot was written.
 	CreatedAt time.Time `json:"created_at"`
-	// Format is the shard file format (FormatGob or FormatCompressed).
+	// Format is the shard file format (FormatCompressed).
 	Format string `json:"format"`
 	// Shards lists the shard files in broker order (partition order, so
 	// ranking tie-breaks are reproducible).
@@ -131,8 +130,9 @@ func LoadManifest(dir string) (*Manifest, error) {
 	if m.Version != ManifestVersion {
 		return nil, fmt.Errorf("index: manifest: unsupported version %d", m.Version)
 	}
-	if m.Format != FormatGob && m.Format != FormatCompressed {
-		return nil, fmt.Errorf("index: manifest: unknown shard format %q", m.Format)
+	if m.Format != FormatCompressed {
+		return nil, fmt.Errorf("index: manifest: shard format %q is not supported (only %q); re-publish the snapshot",
+			m.Format, FormatCompressed)
 	}
 	if len(m.Shards) == 0 {
 		return nil, fmt.Errorf("index: manifest: no shards")
@@ -165,11 +165,11 @@ func SaveSnapshot(dir string, shards []*Index, graphs []*model.Graph) (*Manifest
 	m := &Manifest{
 		Version:   ManifestVersion,
 		CreatedAt: time.Now().UTC(),
-		Format:    FormatGob,
+		Format:    FormatCompressed,
 	}
 	for i, shard := range shards {
-		name := fmt.Sprintf("shard-%04d.%s", i, FormatGob)
-		if err := shard.Save(filepath.Join(dir, name)); err != nil {
+		name := fmt.Sprintf("shard-%04d.%s", i, FormatCompressed)
+		if err := shard.SaveCompressed(filepath.Join(dir, name)); err != nil {
 			return nil, err
 		}
 		m.Shards = append(m.Shards, ShardEntry{
@@ -208,13 +208,7 @@ func LoadSnapshot(dir string) (*Manifest, []*Index, error) {
 	}
 	shards := make([]*Index, 0, len(m.Shards))
 	for _, entry := range m.Shards {
-		path := filepath.Join(dir, entry.File)
-		var shard *Index
-		if m.Format == FormatCompressed {
-			shard, err = LoadCompressed(path)
-		} else {
-			shard, err = Load(path)
-		}
+		shard, err := LoadCompressed(filepath.Join(dir, entry.File))
 		if err != nil {
 			return nil, nil, fmt.Errorf("index: snapshot shard %s: %w", entry.File, err)
 		}

@@ -32,7 +32,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if man.ID == "" || man.Version != ManifestVersion || man.Format != FormatGob {
+	if man.ID == "" || man.Version != ManifestVersion || man.Format != FormatCompressed {
 		t.Fatalf("bad manifest header: %+v", man)
 	}
 	if man.TotalDocs != 3 || man.TotalStates != 4 {
@@ -121,18 +121,24 @@ func TestLoadManifestRejectsBadInput(t *testing.T) {
 	}
 	cases := map[string]string{
 		"garbage":      "{not json",
-		"bad version":  `{"version":99,"id":"x","format":"gob","shards":[{"file":"s.gob"}]}`,
+		"bad version":  `{"version":99,"id":"x","format":"bin","shards":[{"file":"s.bin"}]}`,
 		"bad format":   `{"version":1,"id":"x","format":"zip","shards":[{"file":"s.zip"}]}`,
-		"no shards":    `{"version":1,"id":"x","format":"gob","shards":[]}`,
-		"traversal":    `{"version":1,"id":"x","format":"gob","shards":[{"file":"../../etc/passwd"}]}`,
-		"hidden shard": `{"version":1,"id":"x","format":"gob","shards":[{"file":".evil"}]}`,
-		"bad models":   `{"version":1,"id":"x","format":"gob","shards":[{"file":"s.gob"}],"models":"../m.gob"}`,
+		"no shards":    `{"version":1,"id":"x","format":"bin","shards":[]}`,
+		"traversal":    `{"version":1,"id":"x","format":"bin","shards":[{"file":"../../etc/passwd"}]}`,
+		"hidden shard": `{"version":1,"id":"x","format":"bin","shards":[{"file":".evil"}]}`,
+		"bad models":   `{"version":1,"id":"x","format":"bin","shards":[{"file":"s.bin"}],"models":"../m.gob"}`,
 	}
 	for name, body := range cases {
 		write(body)
 		if _, err := LoadManifest(dir); err == nil {
 			t.Errorf("%s: LoadManifest accepted %q", name, body)
 		}
+	}
+	// Snapshots published with the retired gob shard format fail with an
+	// error that names the format and the way out.
+	write(`{"version":1,"id":"x","format":"gob","shards":[{"file":"shard-0000.gob"}]}`)
+	if _, _, err := LoadSnapshot(dir); err == nil || !strings.Contains(err.Error(), `"gob"`) || !strings.Contains(err.Error(), "re-publish") {
+		t.Errorf("gob manifest: err = %v, want one naming the format and saying to re-publish", err)
 	}
 }
 
@@ -144,7 +150,7 @@ func TestLoadSnapshotDetectsShardMismatch(t *testing.T) {
 	}
 	// Overwrite the shard with a different index; the manifest's
 	// recorded sizes no longer match.
-	if err := Build(part2, nil, 0).Save(filepath.Join(dir, "shard-0000.gob")); err != nil {
+	if err := Build(part2, nil, 0).SaveCompressed(filepath.Join(dir, "shard-0000.bin")); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := LoadSnapshot(dir); err == nil {

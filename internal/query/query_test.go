@@ -56,8 +56,8 @@ func thesisIndex() *index.Index {
 }
 
 func TestSimpleKeywordQuery(t *testing.T) {
-	e := NewEngine(thesisIndex())
-	rs := e.Search("morcheeba")
+	e := NewBroker([]*index.Index{thesisIndex()})
+	rs := e.SearchTopK("morcheeba", 0)
 	if len(rs) != 3 {
 		t.Fatalf("morcheeba results = %d, want 3 states", len(rs))
 	}
@@ -78,14 +78,14 @@ func TestSimpleKeywordQuery(t *testing.T) {
 }
 
 func TestQueryNoResults(t *testing.T) {
-	e := NewEngine(thesisIndex())
-	if rs := e.Search("zebra"); rs != nil {
+	e := NewBroker([]*index.Index{thesisIndex()})
+	if rs := e.SearchTopK("zebra", 0); rs != nil {
 		t.Fatalf("absent term should return nil, got %v", rs)
 	}
-	if rs := e.Search(""); rs != nil {
+	if rs := e.SearchTopK("", 0); rs != nil {
 		t.Fatalf("empty query should return nil")
 	}
-	if rs := e.Search("... !!!"); rs != nil {
+	if rs := e.SearchTopK("... !!!", 0); rs != nil {
 		t.Fatalf("punctuation-only query should return nil")
 	}
 }
@@ -94,8 +94,8 @@ func TestQueryNoResults(t *testing.T) {
 // mysterious video" must hit only url1 state 0, where all three terms
 // co-occur.
 func TestConjunctionQ2(t *testing.T) {
-	e := NewEngine(thesisIndex())
-	rs := e.Search("morcheeba mysterious video")
+	e := NewBroker([]*index.Index{thesisIndex()})
+	rs := e.SearchTopK("morcheeba mysterious video", 0)
 	if len(rs) != 1 || rs[0].URL != "url1" || rs[0].State != 0 {
 		t.Fatalf("Q2 results = %v", rs)
 	}
@@ -105,8 +105,8 @@ func TestConjunctionQ2(t *testing.T) {
 // co-occur in url1's second state (the second comment page) — the tuple
 // <URL1, s2> of Figure 5.2.
 func TestConjunctionQ3(t *testing.T) {
-	e := NewEngine(thesisIndex())
-	rs := e.Search("morcheeba singer")
+	e := NewBroker([]*index.Index{thesisIndex()})
+	rs := e.SearchTopK("morcheeba singer", 0)
 	if len(rs) != 1 || rs[0].URL != "url1" || rs[0].State != 1 {
 		t.Fatalf("Q3 results = %v", rs)
 	}
@@ -117,8 +117,8 @@ func TestConjunctionEliminatesIncompatibleStates(t *testing.T) {
 	ix := buildIndex(map[string][]string{
 		"u": {"alpha only here", "beta only here"},
 	}, nil)
-	e := NewEngine(ix)
-	if rs := e.Search("alpha beta"); len(rs) != 0 {
+	e := NewBroker([]*index.Index{ix})
+	if rs := e.SearchTopK("alpha beta", 0); len(rs) != 0 {
 		t.Fatalf("cross-state conjunction must not match: %v", rs)
 	}
 }
@@ -128,8 +128,8 @@ func TestTFInfluencesRanking(t *testing.T) {
 		"many": {"term term term term filler"},
 		"one":  {"term filler filler filler filler"},
 	}, nil)
-	e := NewEngine(ix)
-	rs := e.Search("term")
+	e := NewBroker([]*index.Index{ix})
+	rs := e.SearchTopK("term", 0)
 	if len(rs) != 2 || rs[0].URL != "many" {
 		t.Fatalf("higher-tf state must rank first: %v", rs)
 	}
@@ -140,8 +140,8 @@ func TestPageRankInfluencesRanking(t *testing.T) {
 		"popular": {"keyword same text"},
 		"obscure": {"keyword same text"},
 	}, map[string]float64{"popular": 0.9, "obscure": 0.1})
-	e := NewEngine(ix)
-	rs := e.Search("keyword")
+	e := NewBroker([]*index.Index{ix})
+	rs := e.SearchTopK("keyword", 0)
 	if len(rs) != 2 || rs[0].URL != "popular" {
 		t.Fatalf("PageRank must break the tie: %v", rs)
 	}
@@ -151,8 +151,8 @@ func TestAJAXRankPrefersShallowStates(t *testing.T) {
 	ix := buildIndex(map[string][]string{
 		"u": {"keyword filler one", "keyword filler two"},
 	}, nil)
-	e := NewEngine(ix)
-	rs := e.Search("keyword")
+	e := NewBroker([]*index.Index{ix})
+	rs := e.SearchTopK("keyword", 0)
 	if len(rs) != 2 || rs[0].State != 0 {
 		t.Fatalf("shallower state must rank first: %v", rs)
 	}
@@ -163,8 +163,8 @@ func TestProximityRewardsAdjacency(t *testing.T) {
 		"adjacent": {"alpha beta and much more filler text here"},
 		"spread":   {"alpha filler filler filler filler filler beta x"},
 	}, nil)
-	e := NewEngine(ix)
-	rs := e.Search("alpha beta")
+	e := NewBroker([]*index.Index{ix})
+	rs := e.SearchTopK("alpha beta", 0)
 	if len(rs) != 2 || rs[0].URL != "adjacent" {
 		t.Fatalf("adjacent phrase must rank first: %v", rs)
 	}
@@ -203,9 +203,9 @@ func TestIDFDownweightsCommonTerms(t *testing.T) {
 		"a": {"common rare", "common filler"},
 		"b": {"common filler"},
 	}, nil)
-	e := NewEngine(ix)
-	rare := e.Search("rare")
-	common := e.Search("common")
+	e := NewBroker([]*index.Index{ix})
+	rare := e.SearchTopK("rare", 0)
+	common := e.SearchTopK("common", 0)
 	if len(rare) != 1 || len(common) != 3 {
 		t.Fatalf("hits: rare=%d common=%d", len(rare), len(common))
 	}
@@ -238,12 +238,12 @@ func TestBrokerMatchesSingleIndex(t *testing.T) {
 	for k, v := range pagesB {
 		merged[k] = v
 	}
-	single := NewEngine(buildIndex(merged, pr))
+	single := NewBroker([]*index.Index{buildIndex(merged, pr)})
 	broker := NewBroker([]*index.Index{buildIndex(pagesA, pr), buildIndex(pagesB, pr)})
 
 	for _, q := range []string{"morcheeba", "morcheeba singer", "cats", "filler text", "absent"} {
-		sr := single.Search(q)
-		br := broker.Search(q)
+		sr := single.SearchTopK(q, 0)
+		br := broker.SearchTopK(q, 0)
 		if len(sr) != len(br) {
 			t.Fatalf("q=%q: single %d results, broker %d", q, len(sr), len(br))
 		}
@@ -260,7 +260,7 @@ func TestBrokerMatchesSingleIndex(t *testing.T) {
 
 func TestBrokerEmptyShards(t *testing.T) {
 	b := NewBroker(nil)
-	if rs := b.Search("anything"); rs != nil {
+	if rs := b.SearchTopK("anything", 0); rs != nil {
 		t.Fatalf("no shards should return nil, got %v", rs)
 	}
 }
@@ -283,9 +283,9 @@ func TestDeterministicTieBreaks(t *testing.T) {
 		"b": {"same words here"},
 		"a": {"same words here"},
 	}, nil)
-	e := NewEngine(ix)
-	r1 := e.Search("same")
-	r2 := e.Search("same")
+	e := NewBroker([]*index.Index{ix})
+	r1 := e.SearchTopK("same", 0)
+	r2 := e.SearchTopK("same", 0)
 	if len(r1) != 2 || r1[0].URL != "a" {
 		t.Fatalf("tie break not by URL: %v", r1)
 	}
@@ -326,8 +326,8 @@ func TestPropertyConjunctionMatchesNaive(t *testing.T) {
 			pages[string(rune('p'+d))] = sts
 		}
 		ix := buildIndex(pages, nil)
-		e := NewEngine(ix)
-		rs := e.Search("a b")
+		e := NewBroker([]*index.Index{ix})
+		rs := e.SearchTopK("a b", 0)
 		got := map[string]bool{}
 		for _, r := range rs {
 			got[r.URL+"#"+itoa(int(r.State))] = true
@@ -379,9 +379,11 @@ func itoa(n int) string {
 	return s
 }
 
-// TestLocalIDFAblation checks the ablation knob: with LocalIDF on and an
-// unbalanced shard split, scores diverge from the single-index scores for
-// at least one query, while the global-idf broker always agrees.
+// TestLocalIDFAblation pins what the global idf correction buys
+// (§6.5.2): on an unbalanced shard split the global-idf broker always
+// agrees with the single index, while ranking each shard on its own
+// statistics (a one-part Merge: local idf) diverges for at least one
+// query.
 func TestLocalIDFAblation(t *testing.T) {
 	pagesA := map[string][]string{"u1": {"rare word here", "word filler pad"}}
 	pagesB := map[string][]string{
@@ -394,29 +396,39 @@ func TestLocalIDFAblation(t *testing.T) {
 	for k, v := range pagesB {
 		merged[k] = v
 	}
-	single := NewEngine(buildIndex(merged, pr))
+	single := NewBroker([]*index.Index{buildIndex(merged, pr)})
 	shards := []*index.Index{buildIndex(pagesA, pr), buildIndex(pagesB, pr)}
-
-	global := &Broker{Shards: shards, W: DefaultWeights}
-	local := &Broker{Shards: shards, W: DefaultWeights, LocalIDF: true}
+	global := NewBroker(shards)
 
 	diverged := false
 	for _, q := range []string{"rare", "word", "common"} {
-		sr, gr, lr := single.Search(q), global.Search(q), local.Search(q)
-		if len(sr) != len(gr) || len(sr) != len(lr) {
-			t.Fatalf("q=%q result counts differ: %d %d %d", q, len(sr), len(gr), len(lr))
+		sr, gr := single.SearchTopK(q, 0), global.SearchTopK(q, 0)
+		if len(sr) != len(gr) {
+			t.Fatalf("q=%q result counts differ: %d %d", q, len(sr), len(gr))
+		}
+		local := map[Result]bool{}
+		for _, ix := range shards {
+			part := &ShardResult{Terms: Parse(q), DF: make([]int, len(Parse(q)))}
+			shardSearch(ix, DefaultWeights, part)
+			rs, _ := Merge(part.Terms, DefaultWeights, []*ShardResult{part}, 0)
+			for _, r := range rs {
+				local[r.Result] = true
+			}
+		}
+		if len(local) != len(sr) {
+			t.Fatalf("q=%q: local idf ranked %d results, single index %d", q, len(local), len(sr))
 		}
 		for i := range sr {
 			if math.Abs(sr[i].Score-gr[i].Score) > 1e-12 {
 				t.Fatalf("global-idf broker diverged on %q", q)
 			}
-			if math.Abs(sr[i].Score-lr[i].Score) > 1e-9 {
+			if !local[sr[i]] {
 				diverged = true
 			}
 		}
 	}
 	if !diverged {
-		t.Fatalf("local-idf ablation never diverged; knob inert?")
+		t.Fatalf("local-idf ranking never diverged from the single index")
 	}
 }
 
@@ -436,7 +448,7 @@ func TestSearchTopKMatchesSortedSearch(t *testing.T) {
 	ix := buildIndex(pages, nil)
 	b := NewBroker([]*index.Index{ix})
 	for _, q := range []string{"target", "shared words", "filler", "absent"} {
-		full := b.Search(q)
+		full := b.SearchTopK(q, 0)
 		for _, k := range []int{1, 2, 5, 10, 100} {
 			want := TopK(full, k)
 			got := b.SearchTopK(q, k)
@@ -450,12 +462,43 @@ func TestSearchTopKMatchesSortedSearch(t *testing.T) {
 			}
 		}
 	}
-	// k <= 0 degrades to the full search.
-	if got := b.SearchTopK("target", 0); len(got) != len(b.Search("target")) {
-		t.Fatalf("k=0 should return everything")
+	// k <= 0 returns everything: 12 pages with "target" in 2 states each.
+	for _, k := range []int{0, -1} {
+		if got := b.SearchTopK("target", k); len(got) != 24 {
+			t.Fatalf("k=%d returned %d results, want all 24", k, len(got))
+		}
 	}
 	if got := b.SearchTopK("", 3); got != nil {
 		t.Fatalf("empty query should be nil")
+	}
+
+	// Two parts that overlap on (u1, 0): heap and sort agree, and the
+	// first part's copy wins although the second would outrank it.
+	terms := []string{"target"}
+	parts := []*ShardResult{
+		{Terms: terms, DF: []int{2}, TotalStates: 4, Candidates: []ShardCandidate{
+			{URL: "u1", State: 0, Base: 1, TFs: []float64{0.5}, Snippet: "first"},
+			{URL: "u2", State: 0, Base: 2, TFs: []float64{0.5}},
+		}},
+		{Terms: terms, DF: []int{2}, TotalStates: 4, Candidates: []ShardCandidate{
+			{URL: "u1", State: 0, Base: 9, TFs: []float64{0.5}, Snippet: "second"},
+			{URL: "u3", State: 1, Base: 1, TFs: []float64{0.5}},
+		}},
+	}
+	sorted, dups := Merge(terms, DefaultWeights, parts, 0)
+	if dups != 1 || len(sorted) != 3 || sorted[0].URL != "u2" || sorted[1].Snippet != "first" {
+		t.Fatalf("overlapping parts: dups %d, ranked %+v", dups, sorted)
+	}
+	for k := 1; k <= 3; k++ {
+		heaped, dups := Merge(terms, DefaultWeights, parts, k)
+		if dups != 1 || len(heaped) != k {
+			t.Fatalf("overlapping parts k=%d: dups %d, %d results", k, dups, len(heaped))
+		}
+		for i := range heaped {
+			if heaped[i] != sorted[i] {
+				t.Fatalf("overlapping parts k=%d result %d: %+v, want %+v", k, i, heaped[i], sorted[i])
+			}
+		}
 	}
 }
 
@@ -464,7 +507,7 @@ func TestSearchTopKAcrossShards(t *testing.T) {
 	a := buildIndex(map[string][]string{"s1": {"term alpha", "term beta"}}, nil)
 	bIx := buildIndex(map[string][]string{"s2": {"term gamma", "plain text"}}, nil)
 	broker := NewBroker([]*index.Index{a, bIx})
-	want := TopK(broker.Search("term"), 2)
+	want := TopK(broker.SearchTopK("term", 0), 2)
 	got := broker.SearchTopK("term", 2)
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("sharded top-k: %v want %v", got, want)
@@ -473,17 +516,17 @@ func TestSearchTopKAcrossShards(t *testing.T) {
 
 func BenchmarkSearchFullSort(b *testing.B) {
 	ix := largeBenchIndex()
-	e := NewEngine(ix)
+	e := NewBroker([]*index.Index{ix})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		TopK(e.Search("common"), 10)
+		TopK(e.SearchTopK("common", 0), 10)
 	}
 }
 
 func BenchmarkSearchTopKHeap(b *testing.B) {
 	ix := largeBenchIndex()
-	e := NewEngine(ix)
+	e := NewBroker([]*index.Index{ix})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

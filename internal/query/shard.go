@@ -15,9 +15,10 @@ import (
 // idf-independent part of formula 5.3 (w1·PR + w2·A + w4·T) plus the raw
 // per-term tf values, alongside the shard's local df vector and state
 // count. The router folds the tf·idf component in with the globally
-// corrected idf and merges — ending up with exactly the bytes a single
-// process evaluating the union index would have produced (the
-// differential battery in internal/router pins this).
+// corrected idf and merges, through the same Merge a single-process
+// Broker ranks with — ending up with exactly the bytes a single process
+// evaluating the union index would have produced (the differential
+// battery in internal/router pins this).
 
 // ShardCandidate is one pre-idf candidate of a shard evaluation: the
 // score parts that do not depend on global collection statistics, plus
@@ -64,7 +65,7 @@ type ShardResult struct {
 // ShardSearch evaluates q on the live snapshot and returns the shard
 // half of a distributed merge: every matching candidate with its pre-idf
 // score parts, the local df vector, and the local state count. Unlike
-// Search it returns ALL candidates, not a top-k — a shard cannot rank
+// Broker.SearchTopK it returns ALL candidates, not a top-k — a shard cannot rank
 // without the global idf, and truncating on local scores could evict a
 // globally top-k document (DESIGN.md §5i discusses the trade-off).
 // Snippets are attached shard-side. The result cache is not consulted:
@@ -87,25 +88,15 @@ func (s *Server) ShardSearch(ctx context.Context, q string) *ShardResult {
 		Candidates: make([]ShardCandidate, 0),
 	}
 	if len(terms) > 0 {
-		for _, shard := range snap.Broker.Shards {
-			ps, dfs := shardSearch(shard, terms, snap.Broker.W)
-			for i, df := range dfs {
-				res.DF[i] += df
-			}
-			res.TotalStates += shard.TotalStates
-			for _, p := range ps {
-				c := ShardCandidate{
-					URL:   p.url,
-					State: int(p.state),
-					Base:  p.base,
-					TFs:   p.tfs,
+		for _, ix := range snap.Broker.Shards {
+			shardSearch(ix, snap.Broker.W, res)
+		}
+		if snap.StateText != nil {
+			for i := range res.Candidates {
+				c := &res.Candidates[i]
+				if text := snap.StateText(c.URL, c.State); text != "" {
+					c.Snippet = Snippet(text, q, snap.SnippetOpts)
 				}
-				if snap.StateText != nil {
-					if text := snap.StateText(p.url, int(p.state)); text != "" {
-						c.Snippet = Snippet(text, q, snap.SnippetOpts)
-					}
-				}
-				res.Candidates = append(res.Candidates, c)
 			}
 		}
 	}

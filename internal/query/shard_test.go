@@ -2,44 +2,16 @@ package query
 
 import (
 	"context"
-	"math"
-	"sort"
 	"testing"
 
 	"ajaxcrawl/internal/index"
-	"ajaxcrawl/internal/model"
 	"ajaxcrawl/internal/obs"
 )
-
-// foldShardResult applies the router's global-idf fold to one shard's
-// pre-idf candidates — the same arithmetic internal/router performs, in
-// miniature, so the shard protocol can be checked against Broker.Search
-// without importing the router package (which imports this one).
-func foldShardResult(res *ShardResult, w Weights) []Result {
-	idf := make([]float64, len(res.Terms))
-	for i, df := range res.DF {
-		if df > 0 && res.TotalStates > 0 {
-			idf[i] = math.Log(float64(res.TotalStates) / float64(df))
-		}
-	}
-	out := make([]Result, 0, len(res.Candidates))
-	for _, c := range res.Candidates {
-		score := c.Base
-		for t := range res.Terms {
-			score += w.TFIDF * c.TFs[t] * idf[t]
-		}
-		out = append(out, Result{URL: c.URL, State: model.StateID(c.State), Score: score})
-	}
-	// resultLess orders worst-first (heap order); best-first is its
-	// inverse.
-	sort.SliceStable(out, func(i, j int) bool { return resultLess(out[j], out[i]) })
-	return out
-}
 
 // TestShardSearchFoldsBackToSearch is the protocol's local soundness
 // check: on a single shard the local df IS the global df, so folding
 // the shard response's pre-idf candidates with its own statistics must
-// reproduce Broker.Search bit-for-bit — same docs, same float64 scores,
+// reproduce Broker.SearchTopK bit-for-bit — same docs, same float64 scores,
 // same order. (The cross-shard half lives in internal/router's
 // differential battery.)
 func TestShardSearchFoldsBackToSearch(t *testing.T) {
@@ -49,13 +21,13 @@ func TestShardSearchFoldsBackToSearch(t *testing.T) {
 
 	for _, q := range []string{"morcheeba", "morcheeba video", "new singer", "nosuchterm", "the"} {
 		res := srv.ShardSearch(context.Background(), q)
-		want := snap.Broker.Search(q)
-		got := foldShardResult(res, snap.Broker.W)
+		want := snap.Broker.SearchTopK(q, 0)
+		got, _ := Merge(res.Terms, snap.Broker.W, []*ShardResult{res}, 0)
 		if len(got) != len(want) {
 			t.Fatalf("q=%q: folded %d results, Search %d", q, len(got), len(want))
 		}
 		for i := range want {
-			if got[i].URL != want[i].URL || got[i].State != want[i].State || got[i].Score != want[i].Score {
+			if got[i].Result != want[i] {
 				t.Fatalf("q=%q rank %d: folded %+v, Search %+v", q, i, got[i], want[i])
 			}
 		}
@@ -71,7 +43,7 @@ func TestShardSearchReturnsAllCandidates(t *testing.T) {
 	srv := NewServer(snap, CacheOptions{})
 
 	res := srv.ShardSearch(context.Background(), "morcheeba")
-	want := snap.Broker.Search("morcheeba")
+	want := snap.Broker.SearchTopK("morcheeba", 0)
 	if len(res.Candidates) != len(want) {
 		t.Fatalf("shard returned %d candidates, full evaluation has %d matches",
 			len(res.Candidates), len(want))

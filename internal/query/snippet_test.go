@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"ajaxcrawl/internal/index"
 )
 
 func TestSnippetHighlightsMatch(t *testing.T) {
@@ -81,8 +83,8 @@ func TestAttachSnippets(t *testing.T) {
 	ix := buildIndex(map[string][]string{
 		"u1": {"the target phrase lives here"},
 	}, nil)
-	e := NewEngine(ix)
-	rs := e.Search("target")
+	e := NewBroker([]*index.Index{ix})
+	rs := e.SearchTopK("target", 0)
 	texts := map[string]string{"u1#0": "the target phrase lives here"}
 	out := AttachSnippets(rs, func(url string, state int) string {
 		return texts[url+"#"+itoa(state)]

@@ -13,7 +13,7 @@ import (
 // router: a hostile shard body goes through DecodeShardResult (size
 // cap, panic containment), checkShardResult (vector alignment, finite
 // floats), and — when it survives both — a self-merge through
-// mergeCandidates. The invariants: never panic, never emit a duplicate
+// query.Merge. The invariants: never panic, never emit a duplicate
 // (URL, state), never emit a non-finite score, always emit the
 // deterministic order, never exceed the input's own candidate count.
 func FuzzRouterMergeResponse(f *testing.F) {
@@ -44,7 +44,7 @@ func FuzzRouterMergeResponse(f *testing.F) {
 		}
 		// The response passed validation: merging it (twice, to force the
 		// dedup path) must uphold every merge invariant.
-		out, dups := mergeCandidates(terms, query.DefaultWeights, []*query.ShardResult{res, res}, 0)
+		out, dups := query.Merge(terms, query.DefaultWeights, []*query.ShardResult{res, res}, 0)
 		if len(out) > len(res.Candidates) {
 			t.Fatalf("self-merge emitted %d results from %d candidates", len(out), len(res.Candidates))
 		}
@@ -74,7 +74,7 @@ func FuzzRouterMergeResponse(f *testing.F) {
 			}
 		}
 		// Truncation must respect k.
-		top, _ := mergeCandidates(terms, query.DefaultWeights, []*query.ShardResult{res}, 1)
+		top, _ := query.Merge(terms, query.DefaultWeights, []*query.ShardResult{res}, 1)
 		if len(top) > 1 {
 			t.Fatalf("k=1 merge returned %d results", len(top))
 		}

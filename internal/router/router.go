@@ -3,12 +3,13 @@
 // router owns N shard groups, each a set of R interchangeable replicas
 // serving the same index shard. A query fans out to every shard group,
 // each shard returns pre-idf candidates plus its local collection
-// statistics (query.ShardResult), and the router folds in the tf·idf
-// component with the globally corrected idf of eq. 6.1 — summing df and
-// state counts across shards — before merging to one deterministic
-// global top-k (score desc, then URL asc, then state asc; identical to
-// the single-snapshot ranking, which the differential test battery pins
-// byte-for-byte).
+// statistics (query.ShardResult), and the router ranks the responses
+// with query.Merge — the ranking kernel a single-process Broker uses —
+// which folds in the tf·idf component with the globally corrected idf of
+// eq. 6.1, summing df and state counts across shards, and merges to one
+// deterministic global top-k (score desc, then URL asc, then state asc;
+// identical to the single-snapshot ranking, which the differential test
+// battery pins byte-for-byte).
 //
 // Robustness is first-class:
 //
@@ -31,14 +32,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"ajaxcrawl/internal/fetch"
-	"ajaxcrawl/internal/model"
 	"ajaxcrawl/internal/obs"
 	"ajaxcrawl/internal/query"
 )
@@ -294,7 +293,7 @@ func (r *Router) search(ctx context.Context, q string, k int, tel *obs.Telemetry
 		}
 	}
 
-	merged.Results, merged.Duplicates = mergeCandidates(terms, r.w, responses, k)
+	merged.Results, merged.Duplicates = query.Merge(terms, r.w, responses, k)
 	if merged.Duplicates > 0 {
 		tel.Counter("router.fanout.dup_docs").Add(int64(merged.Duplicates))
 	}
@@ -309,84 +308,6 @@ func (r *Router) search(ctx context.Context, q string, k int, tel *obs.Telemetry
 		}
 	}
 	return merged, nil
-}
-
-// mergeCandidates is the global half of Figure 6.4's two-step merge:
-// sum df and state counts across the responding shards (in shard-index
-// order, so the arithmetic is deterministic), compute the global idf,
-// fold the tf·idf component into every candidate's pre-idf base, and
-// sort to the deterministic global order — exactly the float operations
-// the single-snapshot Broker performs, so scores match it bit-for-bit.
-// Candidates whose (URL, state) was already produced by an earlier
-// shard are dropped (the count is the second return).
-func mergeCandidates(terms []string, w query.Weights, responses []*query.ShardResult, k int) ([]query.ResultWithSnippet, int) {
-	globalDF := make([]int, len(terms))
-	totalStates := 0
-	total := 0
-	for _, res := range responses {
-		if res == nil {
-			continue
-		}
-		for i, df := range res.DF {
-			globalDF[i] += df
-		}
-		totalStates += res.TotalStates
-		total += len(res.Candidates)
-	}
-	idf := make([]float64, len(terms))
-	for i, df := range globalDF {
-		if df > 0 && totalStates > 0 {
-			idf[i] = math.Log(float64(totalStates) / float64(df))
-		}
-	}
-
-	type docKey struct {
-		url   string
-		state int
-	}
-	out := make([]query.ResultWithSnippet, 0, total)
-	seen := make(map[docKey]bool, total)
-	dups := 0
-	for _, res := range responses {
-		if res == nil {
-			continue
-		}
-		for _, c := range res.Candidates {
-			if len(c.TFs) != len(terms) {
-				// checkShardResult rejects these before merge; the
-				// guard keeps a hostile response from panicking the
-				// fold if it ever slips through.
-				continue
-			}
-			key := docKey{url: c.URL, state: c.State}
-			if seen[key] {
-				dups++
-				continue
-			}
-			seen[key] = true
-			score := c.Base
-			for t := range terms {
-				score += w.TFIDF * c.TFs[t] * idf[t]
-			}
-			out = append(out, query.ResultWithSnippet{
-				Result:  query.Result{URL: c.URL, State: model.StateID(c.State), Score: score},
-				Snippet: c.Snippet,
-			})
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		if out[i].URL != out[j].URL {
-			return out[i].URL < out[j].URL
-		}
-		return out[i].State < out[j].State
-	})
-	if k > 0 && len(out) > k {
-		out = out[:k]
-	}
-	return out, dups
 }
 
 // callShard runs one shard's call: primary attempt at a P2C-picked

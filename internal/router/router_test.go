@@ -52,7 +52,7 @@ func TestMergeGlobalIDF(t *testing.T) {
 		cand("http://b/2", 1, 0.25, 1),
 		cand("http://b/3", 2, 0.25, 1),
 	)
-	got, dups := mergeCandidates(terms, w, []*query.ShardResult{r0, r1}, 0)
+	got, dups := query.Merge(terms, w, []*query.ShardResult{r0, r1}, 0)
 	if dups != 0 {
 		t.Fatalf("dups = %d, want 0", dups)
 	}
@@ -85,7 +85,7 @@ func TestMergeTieBreakOrder(t *testing.T) {
 		cand("http://a", 0, 1.0, 0),
 		cand("http://c", 0, 2.0, 0),
 	)
-	got, _ := mergeCandidates(terms, query.DefaultWeights, []*query.ShardResult{r0, r1}, 0)
+	got, _ := query.Merge(terms, query.DefaultWeights, []*query.ShardResult{r0, r1}, 0)
 	want := []string{"http://c#0", "http://a#0", "http://a#1", "http://b#2"}
 	if len(got) != len(want) {
 		t.Fatalf("got %d results, want %d", len(got), len(want))
@@ -101,7 +101,7 @@ func TestMergeDeduplicatesOverlap(t *testing.T) {
 	terms := []string{"x"}
 	r0 := canned(terms, 5, cand("http://a", 0, 1.0, 1))
 	r1 := canned(terms, 5, cand("http://a", 0, 9.0, 1), cand("http://b", 0, 0.5, 1))
-	got, dups := mergeCandidates(terms, query.DefaultWeights, []*query.ShardResult{r0, r1}, 0)
+	got, dups := query.Merge(terms, query.DefaultWeights, []*query.ShardResult{r0, r1}, 0)
 	if dups != 1 {
 		t.Fatalf("dups = %d, want 1", dups)
 	}
@@ -121,7 +121,7 @@ func TestMergeTruncatesToK(t *testing.T) {
 	terms := []string{"x"}
 	r0 := canned(terms, 5,
 		cand("http://a", 0, 3, 0), cand("http://b", 0, 2, 0), cand("http://c", 0, 1, 0))
-	got, _ := mergeCandidates(terms, query.DefaultWeights, []*query.ShardResult{r0}, 2)
+	got, _ := query.Merge(terms, query.DefaultWeights, []*query.ShardResult{r0}, 2)
 	if len(got) != 2 || got[0].URL != "http://a" || got[1].URL != "http://b" {
 		t.Fatalf("top-2 = %+v", got)
 	}
@@ -131,7 +131,7 @@ func TestMergeSkipsNilAndMisalignedDefensively(t *testing.T) {
 	terms := []string{"x", "y"}
 	bad := canned(terms, 5)
 	bad.Candidates = append(bad.Candidates, query.ShardCandidate{URL: "http://evil", TFs: []float64{1}})
-	got, _ := mergeCandidates(terms, query.DefaultWeights, []*query.ShardResult{nil, bad}, 0)
+	got, _ := query.Merge(terms, query.DefaultWeights, []*query.ShardResult{nil, bad}, 0)
 	if len(got) != 0 {
 		t.Fatalf("misaligned candidate entered the merge: %+v", got)
 	}
